@@ -17,7 +17,8 @@ race:
 
 # check is the pre-merge gate: vet everything, run the race detector over
 # the packages with real concurrency (the worker pool with its chunked
-# dispatch, the MapReduce engine, the interpreter, the bytecode machine
+# dispatch, the MapReduce engine and the distributed MapReduce that runs
+# concurrent nodes over it, the interpreter, the bytecode machine
 # with its shared lowered programs, the ring compiler, the parallel
 # blocks, the observability registry with its 64-goroutine hammer, the
 # program cache with its singleflight front, and the execution service
@@ -30,19 +31,21 @@ race:
 check:
 	$(GO) vet ./...
 	$(GO) test -race -shuffle=on ./internal/workers/... ./internal/mapreduce/... \
-		./internal/interp/... ./internal/compile/... ./internal/core/... \
-		./internal/vm/... ./internal/progcache/... ./internal/runtime/... \
-		./internal/server/... ./internal/obs/... ./internal/shard/... \
-		./internal/evo/... ./internal/value/... ./internal/ingest/...
+		./internal/dist/... ./internal/interp/... ./internal/compile/... \
+		./internal/core/... ./internal/vm/... ./internal/progcache/... \
+		./internal/runtime/... ./internal/server/... ./internal/obs/... \
+		./internal/shard/... ./internal/evo/... ./internal/value/... \
+		./internal/ingest/...
 	$(GO) test -run '^$$' -fuzz FuzzCompileRing -fuzztime 5s ./internal/compile/
 	$(GO) test -run '^$$' -fuzz FuzzLowerProject -fuzztime 5s ./internal/vm/
 	$(MAKE) stress
 
 # stress runs the evolutionary cross-tier differential engine
 # (docs/TESTING.md) as a fixed-seed soak: every evolved program executes
-# under all four tiers (tree, vm, sequential kernels, live session +
-# cache replay) and any divergence is shrunk, persisted to the committed
-# corpus, and fails the build. The fixed seed makes CI runs reproducible.
+# on the tree-walker, on the vm with observability on and again with it
+# off, and in a live session + cache replay; any divergence is shrunk,
+# persisted to the committed corpus, and fails the build. The fixed seed
+# makes CI runs reproducible.
 stress:
 	$(GO) run ./cmd/snapstress -seed 1 -duration 60s -min-programs 1000 \
 		-corpus internal/evo/corpus -q

@@ -210,7 +210,7 @@ func BenchmarkE10Scaling(b *testing.B) {
 						b.Fatal(err)
 					}
 				}
-				max, costs := workers.VirtualMakespan(n, w, policy, cost)
+				max, costs := omp.SimulateMakespan(n, policy.Schedule(w), cost)
 				var total int64
 				for _, c := range costs {
 					total += c

@@ -278,7 +278,7 @@ func E10() (string, error) {
 		// ...and report the deterministic virtual-time distribution
 		// (wall-clock balance is meaningless on a single-core host;
 		// the paper likewise reports virtual timesteps).
-		max, costs := workers.VirtualMakespan(n, w, policy, cost)
+		max, costs := omp.SimulateMakespan(n, policy.Schedule(w), cost)
 		var total int64
 		for _, c := range costs {
 			total += c

@@ -9,7 +9,6 @@ import (
 	"repro/internal/compile"
 	"repro/internal/interp"
 	"repro/internal/mapreduce"
-	"repro/internal/obs"
 	"repro/internal/value"
 	"repro/internal/vm"
 	"repro/internal/workers"
@@ -62,31 +61,27 @@ func (job *mrJob) start(list *value.List, mf mapreduce.Mapper, rf mapreduce.Redu
 	}()
 }
 
-// seqKernels is one pooled pair of sequential map/reduce kernels for
-// mapreduce.RunSeq: each caller reuses its call environment, so a pair
-// serves one evaluation at a time and goes back to the pool.
-type seqKernels struct {
-	m compile.MapFn
-	r compile.Fn
-}
-
 // lowerMapReduce is the bytecode machine's engine adapter (see
 // vm.SetMapReduceLowerer): the ring kernels compile once per lowered
 // program, and each dispatch either completes synchronously (small input)
 // or starts the same polled job the tree primitive uses.
 //
-// When both rings compile, small inputs take mapreduce.RunSeq with pooled
-// sequential kernels — pooled, not shared, because the lowered program
-// (and so this closure) is cached by content and may be executing on many
-// machines at once. The engine proper handles interpreter-tier rings, and
-// every run with observability on, so spans and phase metrics stay
-// complete.
+// When both rings compile, small inputs run the engine inline with a
+// Mapper/Reducer pair over sequential kernels (mapreduce.FromKernels),
+// which reuse one argument buffer and call environment across calls. The
+// pairs are pooled, not shared, because the lowered program (and so this
+// closure) is cached by content and may be executing on many machines at
+// once. Observability does not choose the path: it only adds telemetry.
 func lowerMapReduce(mapRing, reduceRing *blocks.Ring) vm.MRCall {
 	mf, rf := RingMapper(mapRing), RingReducer(reduceRing)
-	var seqPool *sync.Pool
+	var kernels *sync.Pool
 	if mfac, ok := compile.SeqMapperRing(ShipRing(mapRing)); ok {
 		if rfac, ok := compile.SeqRing(ShipRing(reduceRing)); ok {
-			seqPool = &sync.Pool{New: func() any { return &seqKernels{m: mfac(), r: rfac()} }}
+			kernels = &sync.Pool{New: func() any {
+				k := new(seqKernels)
+				k.m, k.r = mapreduce.FromKernels(mfac(), rfac())
+				return k
+			}}
 		}
 	}
 	return func(p *interp.Process, lv value.Value) (value.Value, func() (value.Value, bool, error), error) {
@@ -95,13 +90,15 @@ func lowerMapReduce(mapRing, reduceRing *blocks.Ring) vm.MRCall {
 			return nil, nil, err
 		}
 		if list.Len() <= syncMapReduceMax {
-			var res mapreduce.Result
-			if seqPool != nil && !obs.Enabled() {
-				k := seqPool.Get().(*seqKernels)
-				res, err = mapreduce.RunSeq(list, k.m, k.r)
-				seqPool.Put(k)
-			} else {
-				res, err = mapreduce.Run(list, mf, rf, mapreduce.Config{Workers: 1, Label: traceLabel(p)})
+			m, r := mf, rf
+			var k *seqKernels
+			if kernels != nil {
+				k = kernels.Get().(*seqKernels)
+				m, r = k.m, k.r
+			}
+			res, err := mapreduce.Run(list, m, r, mapreduce.Config{Workers: 1, Label: traceLabel(p)})
+			if k != nil {
+				kernels.Put(k)
 			}
 			if err != nil {
 				return nil, nil, err
@@ -119,6 +116,12 @@ func lowerMapReduce(mapRing, reduceRing *blocks.Ring) vm.MRCall {
 	}
 }
 
+// seqKernels is one pooled Mapper/Reducer pair over sequential kernels.
+type seqKernels struct {
+	m mapreduce.Mapper
+	r mapreduce.Reducer
+}
+
 // RingMapper adapts a user map ring to the engine's Mapper contract of
 // §3.4: "The function returns a two-element list with the item as the key
 // and the result as the value." A ring returning a two-element list
@@ -127,15 +130,15 @@ func lowerMapReduce(mapRing, reduceRing *blocks.Ring) vm.MRCall {
 // average) is expressed.
 func RingMapper(r *blocks.Ring) mapreduce.Mapper {
 	call := ringCallFunc(ShipRing(r))
-	return func(item value.Value) ([]mapreduce.KVP, error) {
+	return func(item value.Value) (string, value.Value, error) {
 		v, err := call([]value.Value{item})
 		if err != nil {
-			return nil, err
+			return "", nil, err
 		}
 		if l, ok := v.(*value.List); ok && l.Len() == 2 {
-			return []mapreduce.KVP{{Key: l.MustItem(1).String(), Val: l.MustItem(2)}}, nil
+			return l.MustItem(1).String(), l.MustItem(2), nil
 		}
-		return []mapreduce.KVP{{Key: "", Val: v}}, nil
+		return "", v, nil
 	}
 }
 

@@ -108,8 +108,8 @@ func TestDefaultsAndClamping(t *testing.T) {
 
 func TestErrorsPropagate(t *testing.T) {
 	in := words("a b c d")
-	badMap := func(value.Value) ([]mapreduce.KVP, error) {
-		return nil, errors.New("map boom")
+	badMap := func(value.Value) (string, value.Value, error) {
+		return "", nil, errors.New("map boom")
 	}
 	if _, _, err := MapReduce(in, badMap, mapreduce.SumReduce, Config{Nodes: 2}); err == nil {
 		t.Error("map error should propagate")
@@ -125,11 +125,11 @@ func TestErrorsPropagate(t *testing.T) {
 func TestInputNotMutated(t *testing.T) {
 	in := value.NewList(value.NewList(value.Text("nested")))
 	before := in.String()
-	_, _, err := MapReduce(in, func(v value.Value) ([]mapreduce.KVP, error) {
+	_, _, err := MapReduce(in, func(v value.Value) (string, value.Value, error) {
 		if l, ok := v.(*value.List); ok {
 			l.Add(value.Text("mutant")) // node mutates ITS copy
 		}
-		return []mapreduce.KVP{{Key: "k", Val: value.Number(1)}}, nil
+		return "k", value.Number(1), nil
 	}, mapreduce.SumReduce, Config{Nodes: 2})
 	if err != nil {
 		t.Fatal(err)

@@ -7,8 +7,8 @@
 //
 //	tree    the tree-walking interpreter (vm off)
 //	vm      the flat bytecode machine (vm on)
-//	kernel  the bytecode machine with observability off, which unlocks
-//	        the compiled sequential mapReduce kernels (RunSeq)
+//	obs-off the bytecode machine again with observability off: the same
+//	        code paths, so instrumentation must not change an outcome
 //	serve   a live in-process snapserved session over POST /v1/run —
 //	        twice, so a cache-replay answer must equal a cold one
 //
@@ -262,13 +262,13 @@ func (e *engine) evalScript(script *blocks.Script) (fit float64, detail string) 
 		return 0, d
 	}
 
-	// Kernel tier: obs off is what routes sync mapReduce through the
-	// compiled sequential kernels, the one code path the vm tier's
-	// instrumented run cannot take.
+	// Obs-off tier: the vm run again with observability off. No engine
+	// path depends on the switch, so this checks that instrumentation
+	// never changes what a program does.
 	obs.SetEnabled(false)
-	kern, _ := oracle.Run(script, true)
+	dark, _ := oracle.Run(script, true)
 	obs.SetEnabled(true)
-	if d := oracle.Diff("tree", tree, "kernel", kern); d != "" {
+	if d := oracle.Diff("tree", tree, "obs-off", dark); d != "" {
 		return 0, d
 	}
 

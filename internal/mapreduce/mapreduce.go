@@ -35,11 +35,10 @@ func (k KVP) String() string {
 	return k.Key + ": " + k.Val.String()
 }
 
-// Mapper transforms one input item into zero or more intermediate pairs.
-// The paper's mappers are one-in-one-out ("the map function is executed for
-// each item in the supplied list, mapping the item to a value"); returning
-// a slice additionally supports the general Hadoop-style contract.
-type Mapper func(item value.Value) ([]KVP, error)
+// Mapper maps one input item to one intermediate (key, value) pair: "the
+// map function is executed for each item in the supplied list, mapping the
+// item to a value".
+type Mapper func(item value.Value) (key string, val value.Value, err error)
 
 // Reducer folds all values that share a key into one value. "Unlike the map
 // function, the computation it performs may depend upon previous items."
@@ -84,9 +83,13 @@ func (r Result) Strings() []string {
 	return out
 }
 
-// Run executes the full pipeline: parallel map, sort by key, group,
-// parallel reduce. Items cross the worker boundary by structured clone in
-// both phases, matching the Web-Worker discipline of §4.
+// Run executes the pipeline: parallel map, shuffle (sort by key, group),
+// parallel reduce. The map phase reads the input's boxed items, or — when
+// the input carries a column and both kernels have registered column
+// variants (see columnar.go) — the raw column, so no element is boxed.
+// Boxed items and emitted values cross the worker boundary by structured
+// clone, matching the Web-Worker discipline of §4. With one worker every
+// phase runs inline on the calling goroutine.
 func Run(input *value.List, m Mapper, r Reducer, cfg Config) (Result, error) {
 	if m == nil {
 		m = Identity
@@ -98,44 +101,200 @@ func Run(input *value.List, m Mapper, r Reducer, cfg Config) (Result, error) {
 	if w <= 0 {
 		w = workers.DefaultWorkers()
 	}
-	// Columnar fast path: a column-backed input with column-native
-	// kernels runs the whole pipeline over flat arrays (see columnar.go).
 	if plan, ok := planColumnRun(input, m, r); ok {
-		return plan.run(w, cfg)
+		j := columnJobs.Get().(*job[float64])
+		j.n, j.src.col = plan.n, plan
+		out, err := j.run(w, cfg.Label)
+		j.release(&columnJobs)
+		return out, err
 	}
-	// Phase telemetry: one atomic load up front; everything else only
-	// runs (and only allocates) while the observability switch is on.
+	j := newBoxedJob(input.Items(), m, r)
+	out, err := j.run(w, cfg.Label)
+	j.release(&boxedJobs)
+	return out, err
+}
+
+// MapOnly runs just the parallel map phase, returning the intermediate
+// pairs in item order. Package dist uses it to run the map phase locally
+// on each simulated cluster node before shuffling by key.
+func MapOnly(input *value.List, m Mapper, workers int) ([]KVP, error) {
+	if m == nil {
+		m = Identity
+	}
+	j := newBoxedJob(input.Items(), m, nil)
+	err := j.mapPhase(max(workers, 1))
+	var mid []KVP
+	if err == nil {
+		mid = make([]KVP, j.n)
+		for i := range mid {
+			mid[i] = KVP{Key: j.keys[i], Val: j.vals[i]}
+		}
+	}
+	j.release(&boxedJobs)
+	return mid, err
+}
+
+// ReduceSorted shuffles intermediate pairs by key and runs the parallel
+// reduce phase — the second half of Run, exposed for distributed
+// execution. mid is left untouched.
+func ReduceSorted(mid []KVP, r Reducer, workers int) (Result, error) {
+	if r == nil {
+		r = IdentityReduce
+	}
+	j := newBoxedJob(nil, nil, r)
+	j.n = len(mid)
+	j.keys, j.vals = resize(j.keys, j.n), resize(j.vals, j.n)
+	for i, kv := range mid {
+		j.keys[i], j.vals[i] = kv.Key, kv.Val
+	}
+	j.shuffle()
+	out, err := j.reducePhase(max(workers, 1))
+	j.release(&boxedJobs)
+	return out, err
+}
+
+// FromKernels adapts sequential kernels to a Mapper/Reducer pair: mcall is
+// a keyed map kernel with the mapReduce block's mapper convention applied
+// (compile.SeqMapperRing), rcall a reducer kernel called with each group's
+// list (compile.SeqRing). The kernels reuse their call environments and
+// the pair shares one argument buffer (a run maps every item before it
+// reduces), so a pair serves one Workers-1 run at a time; concurrent
+// callers pool pairs. The buffer is cleared after each call, so an idle
+// pair holds no value.
+func FromKernels(mcall func(args []value.Value) (string, value.Value, error), rcall func(args []value.Value) (value.Value, error)) (Mapper, Reducer) {
+	var argv [1]value.Value
+	m := func(item value.Value) (string, value.Value, error) {
+		argv[0] = item
+		k, v, err := mcall(argv[:])
+		argv[0] = nil
+		return k, v, err
+	}
+	r := func(_ string, vals *value.List) (value.Value, error) {
+		argv[0] = vals
+		v, err := rcall(argv[:])
+		argv[0] = nil
+		return v, err
+	}
+	return m, r
+}
+
+// job is one run of the pipeline over values of type V: value.Value for
+// boxed items, float64 for columns. Map fills the flat keys/vals arrays,
+// the shuffle lays each key's values out contiguously in backing, and
+// reduce folds each group into out. Jobs are pooled per value type, so a
+// run reuses the working arrays of an earlier one instead of allocating
+// them; only backing and out, which escape into the result, are fresh.
+type job[V any] struct {
+	n      int
+	at     func(j *job[V], i int) (string, V, error)                  // item i's pair
+	reduce func(j *job[V], key string, vals []V) (value.Value, error) // one group
+	src    source
+
+	keys   []string
+	vals   []V
+	slot   []int32 // each pair's group, numbered by first appearance
+	rank   []int32 // first-appearance number -> position in key order
+	groups []group // in key order after the shuffle
+	index  map[string]int32
+	// backing holds every group's values; out is the reduced result.
+	backing []V
+	out     Result
+}
+
+// source is what a job's at and reduce read: the boxed items and kernels,
+// or a column plan.
+type source struct {
+	items []value.Value
+	m     Mapper
+	r     Reducer
+	col   columnPlan
+}
+
+// group is one key's run of values, backing[off : off+n].
+type group struct {
+	key          string
+	id           int32 // first-appearance number
+	n, off, fill int
+}
+
+var (
+	boxedJobs  = sync.Pool{New: func() any { return &job[value.Value]{at: boxedAt, reduce: boxedReduce} }}
+	columnJobs = sync.Pool{New: func() any { return &job[float64]{at: columnAt, reduce: columnReduce} }}
+)
+
+// maxPooled bounds the arrays a job may carry back into its pool, so one
+// huge run does not pin its working memory.
+const maxPooled = 1 << 16
+
+func newBoxedJob(items []value.Value, m Mapper, r Reducer) *job[value.Value] {
+	j := boxedJobs.Get().(*job[value.Value])
+	j.n, j.src = len(items), source{items: items, m: m, r: r}
+	return j
+}
+
+// boxedAt clones the item into the mapper and the emitted value out of it.
+func boxedAt(j *job[value.Value], i int) (string, value.Value, error) {
+	k, v, err := j.src.m(value.CloneValue(j.src.items[i]))
+	return k, value.CloneValue(v), err
+}
+
+// boxedReduce hands the reducer its group as a list over the shuffle's
+// backing array: the values were cloned out of the map phase and nothing
+// else holds them, so the reducer sees private data without another copy.
+func boxedReduce(j *job[value.Value], key string, vals []value.Value) (value.Value, error) {
+	return j.src.r(key, value.AdoptSlice(vals))
+}
+
+func columnAt(j *job[float64], i int) (string, float64, error) { return j.src.col.at(i) }
+
+func columnReduce(j *job[float64], key string, vals []float64) (value.Value, error) {
+	return j.src.col.fr(key, vals)
+}
+
+// release drops the run's references and returns the job to pool.
+func (j *job[V]) release(pool *sync.Pool) {
+	clear(j.keys)
+	clear(j.vals)
+	clear(j.groups)
+	clear(j.index)
+	j.src, j.backing, j.out = source{}, nil, nil
+	if cap(j.keys) <= maxPooled {
+		pool.Put(j)
+	}
+}
+
+// run executes map, shuffle and reduce. Telemetry costs one atomic load
+// when the observability switch is off; everything else (and every
+// allocation it makes) only runs while it is on.
+func (j *job[V]) run(w int, label string) (Result, error) {
 	tracing := obs.Enabled()
 	var tStart, tMapDone, tShuffleDone time.Time
 	if tracing {
 		obs.MRRuns.Inc()
 		tStart = time.Now()
 	}
-	mid, err := mapPhase(input, m, w)
-	if err != nil {
+	if err := j.mapPhase(w); err != nil {
 		return nil, err
 	}
 	if tracing {
 		tMapDone = time.Now()
 		obs.MRPhaseSeconds.With("map").Observe(tMapDone.Sub(tStart).Seconds())
 	}
-	// "The elements of the intermediate result are sorted by the value
-	// of the key in between the map function and the reduce function"
-	// (footnote 6). Hash-group first and sort only the distinct keys:
-	// the observable output — keys in sorted order, each key's values in
-	// map-emission order — is identical to stable-sorting all n records,
-	// but the sort is over k distinct keys instead of n pairs, which for
-	// low-cardinality workloads (word count, the single-key climate
-	// average) removes the dominant O(n log n) term of the shuffle.
-	groups := groupByKey(mid)
+	j.shuffle()
 	if tracing {
 		tShuffleDone = time.Now()
 		obs.MRPhaseSeconds.With("shuffle").Observe(tShuffleDone.Sub(tMapDone).Seconds())
-		if skew, ok := bucketSkew(groups, len(mid)); ok {
-			obs.MRBucketSkew.Observe(skew)
+		if len(j.groups) > 0 {
+			// Skew: the largest group over the mean group size. 1 is
+			// balanced; the single-key pattern reports the group count.
+			maxLen := 0
+			for _, g := range j.groups {
+				maxLen = max(maxLen, g.n)
+			}
+			obs.MRBucketSkew.Observe(float64(maxLen) * float64(len(j.groups)) / float64(j.n))
 		}
 	}
-	out, err := reducePhase(groups, r, w)
+	out, err := j.reducePhase(w)
 	if tracing {
 		end := time.Now()
 		obs.MRPhaseSeconds.With("reduce").Observe(end.Sub(tShuffleDone).Seconds())
@@ -144,14 +303,14 @@ func Run(input *value.List, m Mapper, r Reducer, cfg Config) (Result, error) {
 			status = "error"
 		}
 		obs.RecordSpan(obs.Span{
-			ID:    cfg.Label,
+			ID:    label,
 			Kind:  "mapReduce",
 			Start: tStart,
 			Dur:   end.Sub(tStart),
 			Attrs: []obs.Attr{
-				obs.AttrInt("items", int64(input.Len())),
-				obs.AttrInt("pairs", int64(len(mid))),
-				obs.AttrInt("keys", int64(len(groups))),
+				obs.AttrInt("items", int64(j.n)),
+				obs.AttrInt("pairs", int64(j.n)),
+				obs.AttrInt("keys", int64(len(j.groups))),
 				obs.AttrInt("workers", int64(w)),
 				{Key: "status", Val: status},
 			},
@@ -160,221 +319,32 @@ func Run(input *value.List, m Mapper, r Reducer, cfg Config) (Result, error) {
 	return out, err
 }
 
-// RunSeq executes the whole pipeline synchronously on the calling
-// goroutine with direct single-result kernel calls (the compile tier's Fn
-// shape), fusing map and shuffle into one pass. It exists for the
-// mapReduce block's small-input fast path: Run with Workers 1 still pays a
-// per-item argument slice, an intermediate KVP slice per call, and a fresh
-// call environment inside the adapter closures; RunSeq calls each kernel
-// with one reused argument buffer and buckets the pair as it is emitted.
-//
-// mcall is a keyed kernel with the block's mapper convention already
-// applied (compile.SeqMapperRing); rcall is called with each key's value
-// list. Observable behavior — item/value clone discipline, panic
-// containment, error wording, key order — is pin-identical to
-// Run(input, RingMapper(m), RingReducer(r), Config{Workers: 1}).
-//
-// RunSeq records no telemetry; callers fall back to Run when the
-// observability switch is on so spans and phase metrics stay complete.
-func RunSeq(input *value.List, mcall func(args []value.Value) (string, value.Value, error), rcall func(args []value.Value) (value.Value, error)) (out Result, err error) {
-	// Items() on a column-backed input materializes the memoized boxed
-	// view once — the same one-boxing-per-element cost a boxed list paid
-	// at construction — and CloneValue's scalar elision keeps the per-call
-	// clone free. Boxing per iteration instead (closures over the raw
-	// column) measures strictly worse here: the kernels take []Value args,
-	// so every element gets boxed either way, and the view is boxed once.
-	items := input.Items()
-	n := len(items)
-	// One recover for the whole run replaces the per-call defer of
-	// safeMap/safeReduce; the cursors pin which call blew up so the error
-	// text stays identical.
-	phase, cur, curKey := "mapper", 0, ""
-	defer func() {
-		if r := recover(); r != nil {
-			inner := fmt.Errorf("%s panic: %v", phase, r)
-			if phase == "mapper" {
-				err = fmt.Errorf("map item %d: %w", cur+1, inner)
-			} else {
-				err = fmt.Errorf("reduce key %q: %w", curKey, inner)
-			}
-			out = nil
-		}
-	}()
-	// Every kernel call emits exactly one pair, so the pair count is n and
-	// the emission buffers fit the sync path's stack arrays.
-	var argv [1]value.Value
-	var keyStore [smallShuffle]string
-	var valStore [smallShuffle]value.Value
-	keys, vals := keyStore[:0], valStore[:0]
-	if n > smallShuffle {
-		keys, vals = make([]string, 0, n), make([]value.Value, 0, n)
-	}
-	for ; cur < n; cur++ {
-		argv[0] = value.CloneValue(items[cur])
-		key, v, cerr := mcall(argv[:])
-		if cerr != nil {
-			return nil, fmt.Errorf("map item %d: %w", cur+1, cerr)
-		}
-		keys = append(keys, key)
-		vals = append(vals, value.CloneValue(v))
-	}
-	// Shuffle: count each key's pairs (linear scan with a last-pair memo,
-	// as groupSmall), sort the distinct keys, then lay every group's values
-	// out in one backing array in emission order. The per-group lists are
-	// capped sub-slices, so a reducer growing its list reallocates
-	// privately.
-	type bucket struct {
-		key          string
-		n, off, fill int
-	}
-	var bstore [smallShuffle]bucket
-	buckets := bstore[:0]
-	last := -1
-	for _, k := range keys {
-		g := last
-		if g < 0 || buckets[g].key != k {
-			g = -1
-			for j := range buckets {
-				if buckets[j].key == k {
-					g = j
-					break
-				}
-			}
-			if g < 0 {
-				g = len(buckets)
-				buckets = append(buckets, bucket{key: k})
-			}
-			last = g
-		}
-		buckets[g].n++
-	}
-	slices.SortFunc(buckets, func(a, b bucket) int { return strings.Compare(a.key, b.key) })
-	off := 0
-	for j := range buckets {
-		buckets[j].off = off
-		off += buckets[j].n
-	}
-	backing := make([]value.Value, n)
-	last = -1
-	for i, k := range keys {
-		g := last
-		if g < 0 || buckets[g].key != k {
-			for j := range buckets {
-				if buckets[j].key == k {
-					g = j
-					break
-				}
-			}
-			last = g
-		}
-		b := &buckets[g]
-		backing[b.off+b.fill] = vals[i]
-		b.fill++
-	}
-	phase = "reducer"
-	out = make(Result, len(buckets))
-	for i := range buckets {
-		b := &buckets[i]
-		curKey = b.key
-		argv[0] = value.AdoptSlice(backing[b.off : b.off+b.n : b.off+b.n])
-		v, cerr := rcall(argv[:])
-		if cerr != nil {
-			return nil, fmt.Errorf("reduce key %q: %w", b.key, cerr)
-		}
-		if v == nil {
-			v = value.TheNothing
-		}
-		out[i] = KVP{Key: b.key, Val: value.CloneValue(v)}
-	}
-	return out, nil
-}
-
-// bucketSkew measures shuffle imbalance: the largest key group's size
-// over the mean group size. 1 is perfectly balanced; the single-key
-// pattern (climate average) reports the group count.
-func bucketSkew(groups []group, pairs int) (float64, bool) {
-	if len(groups) == 0 || pairs == 0 {
-		return 0, false
-	}
-	maxLen := 0
-	for _, g := range groups {
-		if n := g.vals.Len(); n > maxLen {
-			maxLen = n
-		}
-	}
-	mean := float64(pairs) / float64(len(groups))
-	return float64(maxLen) / mean, true
-}
-
-// MapOnly runs just the parallel map phase, returning the unsorted
-// intermediate pairs. Package dist uses it to run the map phase locally on
-// each simulated cluster node before shuffling by key.
-func MapOnly(input *value.List, m Mapper, workers int) ([]KVP, error) {
-	if m == nil {
-		m = Identity
-	}
-	if workers <= 0 {
-		workers = 1
-	}
-	return mapPhase(input, m, workers)
-}
-
-// ReduceSorted sorts intermediate pairs by key, groups them, and runs the
-// parallel reduce phase — the second half of Run, exposed for distributed
-// execution.
-func ReduceSorted(mid []KVP, r Reducer, workers int) (Result, error) {
-	if r == nil {
-		r = IdentityReduce
-	}
-	if workers <= 0 {
-		workers = 1
-	}
-	// Same hash-group-then-sort-keys shuffle as Run; mid is left
-	// untouched, so no defensive copy is needed.
-	return reducePhase(groupByKey(mid), r, workers)
-}
-
 // phaseGrain is how many records one executor claims per fetch-add in the
 // map and reduce phases, amortizing the shared counter the way the worker
 // pool's dynamic assignment does; small enough that skewed groups still
 // balance across workers.
 func phaseGrain(n, w int) int {
-	g := n / (w * 4)
-	if g < 1 {
-		g = 1
-	}
-	if g > 64 {
-		g = 64
-	}
-	return g
+	return min(max(n/(w*4), 1), 64)
 }
 
-// runPhase executes fn(i) for i in [0, n) across w executors on the
-// persistent worker pool, each claiming grain-sized chunks off a shared
-// counter. fn returning an error stops that executor; the first error in
-// executor order is returned.
-func runPhase(n, w int, fn func(i int) error) error {
-	if w > n {
-		w = n
+// runPhase runs records [0, n) of the map or reduce step in chunks. One
+// executor runs a single chunk inline on the calling goroutine; more claim
+// grain-sized chunks off a shared counter on the persistent worker pool.
+// An executor stops at its first failing chunk. Chunks are claimed in
+// increasing order, so the chunk holding the lowest failing record is
+// always run, and reporting the failure of the lowest chunk makes the
+// error — the lowest failing item, or the first failing key in key order
+// — independent of scheduling.
+func (j *job[V]) runPhase(n, w int, reduce bool) error {
+	if w = min(w, n); w <= 1 {
+		return j.chunk(reduce, 0, n)
 	}
-	if w < 1 {
-		w = 1
-	}
-	if n == 0 {
-		return nil
-	}
-	// One executor needs no pool dispatch, shared counter, or WaitGroup —
-	// a plain loop on the calling goroutine has the same semantics.
-	if w == 1 {
-		for i := 0; i < n; i++ {
-			if err := fn(i); err != nil {
-				return err
-			}
-		}
-		return nil
+	type failure struct {
+		lo  int
+		err error
 	}
 	grain := phaseGrain(n, w)
-	errs := make([]error, w)
+	fails := make([]failure, w)
 	var next atomic.Int64
 	var wg sync.WaitGroup
 	pool := workers.SharedPool()
@@ -388,214 +358,160 @@ func runPhase(n, w int, fn func(i int) error) error {
 				if lo >= n {
 					return
 				}
-				hi := lo + grain
-				if hi > n {
-					hi = n
-				}
-				for i := lo; i < hi; i++ {
-					if err := fn(i); err != nil {
-						errs[worker] = err
-						return
-					}
+				if err := j.chunk(reduce, lo, min(lo+grain, n)); err != nil {
+					fails[worker] = failure{lo, err}
+					return
 				}
 			}
 		})
 	}
 	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
+	first := failure{lo: n}
+	for _, f := range fails {
+		if f.err != nil && f.lo < first.lo {
+			first = f
 		}
+	}
+	return first.err
+}
+
+func (j *job[V]) chunk(reduce bool, lo, hi int) error {
+	if reduce {
+		return j.reduceChunk(lo, hi)
+	}
+	return j.mapChunk(lo, hi)
+}
+
+func (j *job[V]) mapPhase(w int) error {
+	j.keys, j.vals = resize(j.keys, j.n), resize(j.vals, j.n)
+	return j.runPhase(j.n, w, false)
+}
+
+// mapChunk maps items [lo, hi). One deferred recover contains panics for
+// the whole chunk; the cursor pins which item raised it.
+func (j *job[V]) mapChunk(lo, hi int) (err error) {
+	i := lo
+	defer func() {
+		if r := recover(); r != nil {
+			err = fmt.Errorf("map item %d: mapper panic: %v", i+1, r)
+		}
+	}()
+	for ; i < hi; i++ {
+		k, v, merr := j.at(j, i)
+		if merr != nil {
+			return fmt.Errorf("map item %d: %w", i+1, merr)
+		}
+		j.keys[i], j.vals[i] = k, v
 	}
 	return nil
 }
 
-func mapPhase(input *value.List, m Mapper, w int) ([]KVP, error) {
-	n := input.Len()
-	items := input.Items()
-	if w <= 1 || n <= 1 {
-		// Sequential map: emit straight into the intermediate slice
-		// instead of per-item parts that are flattened afterwards.
-		mid := make([]KVP, 0, n)
-		for i := 0; i < n; i++ {
-			kvs, err := safeMap(m, value.CloneValue(items[i]))
-			if err != nil {
-				return nil, fmt.Errorf("map item %d: %w", i+1, err)
-			}
-			for j := range kvs {
-				kvs[j].Val = value.CloneValue(kvs[j].Val)
-			}
-			mid = append(mid, kvs...)
-		}
-		return mid, nil
-	}
-	parts := make([][]KVP, n)
-	err := runPhase(n, w, func(i int) error {
-		item := items[i]
-		kvs, err := safeMap(m, value.CloneValue(item))
-		if err != nil {
-			return fmt.Errorf("map item %d: %w", i+1, err)
-		}
-		for j := range kvs {
-			kvs[j].Val = value.CloneValue(kvs[j].Val)
-		}
-		parts[i] = kvs
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	total := 0
-	for _, p := range parts {
-		total += len(p)
-	}
-	mid := make([]KVP, 0, total)
-	for _, p := range parts {
-		mid = append(mid, p...)
-	}
-	return mid, nil
-}
-
-func safeMap(m Mapper, item value.Value) (kvs []KVP, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			err = fmt.Errorf("mapper panic: %v", r)
-		}
-	}()
-	return m(item)
-}
-
-type group struct {
-	key  string
-	vals *value.List
-}
-
-// smallShuffle is the pair count below which the shuffle groups by linear
-// scan instead of a hash index: for a handful of distinct keys the scan is
-// cache-resident and skips the map allocation and per-key hashing.
+// smallShuffle is the pair count up to which the shuffle finds a key's
+// group by linear scan instead of a hash index: for a handful of distinct
+// keys the scan is cache-resident and skips the per-key hashing.
 const smallShuffle = 64
 
-// groupByKey is the shuffle: it buckets the intermediate pairs by key in
-// one pass (appending each value in emission order) and then sorts the
-// distinct keys. Equivalent to stable-sorting mid by key and grouping
-// adjacent runs, but the comparison sort touches only the k unique keys.
-func groupByKey(mid []KVP) []group {
-	var groups []group
-	if len(mid) <= smallShuffle {
-		groups = groupSmall(mid)
-	} else {
-		groups = groupHashed(mid)
+// shuffle groups the map output by key. "The elements of the intermediate
+// result are sorted by the value of the key in between the map function
+// and the reduce function" (footnote 6): it counts each key's pairs, sorts
+// only the distinct keys, then scatters the values into one backing array
+// in emission order. That is what stable-sorting all n pairs and grouping
+// adjacent runs produces, but the comparison sort touches only the k
+// distinct keys, which for low-cardinality workloads (word count, the
+// single-key climate average) removes the dominant O(n log n) term. The
+// previous pair's group is remembered, so single-key and run-keyed
+// workloads pay one lookup per run of equal keys.
+func (j *job[V]) shuffle() {
+	hashed := j.n > smallShuffle
+	if hashed && j.index == nil {
+		j.index = make(map[string]int32)
 	}
-	slices.SortFunc(groups, func(a, b group) int { return strings.Compare(a.key, b.key) })
-	return groups
-}
-
-// groupSmall buckets by scanning the group slice directly. The first pass
-// counts each key's pairs so the second allocates every value list at its
-// exact size; the memo of the previous pair's group keeps single-key and
-// run-keyed workloads O(n).
-func groupSmall(mid []KVP) []group {
-	type bucket struct {
-		key string
-		n   int
-	}
-	var store [smallShuffle]bucket
-	counts := store[:0]
+	j.slot = resize(j.slot, j.n)
+	groups := j.groups[:0]
 	last := -1
-	for _, kv := range mid {
+	for i, k := range j.keys {
 		g := last
-		if g < 0 || counts[g].key != kv.Key {
+		if g < 0 || groups[g].key != k {
 			g = -1
-			for j := range counts {
-				if counts[j].key == kv.Key {
-					g = j
-					break
+			if hashed {
+				if x, ok := j.index[k]; ok {
+					g = int(x)
+				}
+			} else {
+				for x := range groups {
+					if groups[x].key == k {
+						g = x
+						break
+					}
 				}
 			}
 			if g < 0 {
-				g = len(counts)
-				counts = append(counts, bucket{key: kv.Key})
-			}
-			last = g
-		}
-		counts[g].n++
-	}
-	groups := make([]group, len(counts))
-	for i, b := range counts {
-		groups[i] = group{key: b.key, vals: value.NewListCap(b.n)}
-	}
-	last = -1
-	for _, kv := range mid {
-		g := last
-		if g < 0 || groups[g].key != kv.Key {
-			for j := range groups {
-				if groups[j].key == kv.Key {
-					g = j
-					break
+				g = len(groups)
+				groups = append(groups, group{key: k, id: int32(g)})
+				if hashed {
+					j.index[k] = int32(g)
 				}
 			}
 			last = g
 		}
-		groups[g].vals.Add(kv.Val)
+		groups[g].n++
+		j.slot[i] = int32(g)
 	}
-	return groups
+	slices.SortFunc(groups, func(a, b group) int { return strings.Compare(a.key, b.key) })
+	j.rank = resize(j.rank, len(groups))
+	off := 0
+	for x := range groups {
+		groups[x].off = off
+		off += groups[x].n
+		j.rank[groups[x].id] = int32(x)
+	}
+	j.backing = make([]V, j.n)
+	for i, v := range j.vals {
+		g := &groups[j.rank[j.slot[i]]]
+		j.backing[g.off+g.fill] = v
+		g.fill++
+	}
+	j.groups = groups
 }
 
-func groupHashed(mid []KVP) []group {
-	idx := make(map[string]int)
-	var groups []group
-	// last memoizes the group of the previous pair: mappers that emit one
-	// key for everything (the global-average pattern) or keys in runs pay
-	// one map lookup per run instead of one per pair.
-	last := -1
-	for _, kv := range mid {
-		g := last
-		if g < 0 || groups[g].key != kv.Key {
-			var ok bool
-			g, ok = idx[kv.Key]
-			if !ok {
-				g = len(groups)
-				idx[kv.Key] = g
-				groups = append(groups, group{key: kv.Key, vals: value.NewList()})
-			}
-			last = g
+func (j *job[V]) reducePhase(w int) (Result, error) {
+	j.out = make(Result, len(j.groups))
+	if err := j.runPhase(len(j.groups), w, true); err != nil {
+		return nil, err
+	}
+	return j.out, nil
+}
+
+// reduceChunk reduces groups [lo, hi), with mapChunk's panic containment.
+// The group lists are capped sub-slices of backing, so a reducer growing
+// its list reallocates privately.
+func (j *job[V]) reduceChunk(lo, hi int) (err error) {
+	x := lo
+	defer func() {
+		if r := recover(); r != nil {
+			err = fmt.Errorf("reduce key %q: reducer panic: %v", j.groups[x].key, r)
 		}
-		groups[g].vals.Add(kv.Val)
-	}
-	return groups
-}
-
-func reducePhase(groups []group, r Reducer, w int) (Result, error) {
-	n := len(groups)
-	out := make(Result, n)
-	err := runPhase(n, w, func(i int) error {
-		g := groups[i]
-		// The group lists are engine-built in groupByKey and their values
-		// were already cloned when they crossed out of the map phase, so
-		// the reducer sees private data without another defensive clone.
-		v, err := safeReduce(r, g.key, g.vals)
-		if err != nil {
-			return fmt.Errorf("reduce key %q: %w", g.key, err)
+	}()
+	for ; x < hi; x++ {
+		g := &j.groups[x]
+		v, rerr := j.reduce(j, g.key, j.backing[g.off:g.off+g.n:g.off+g.n])
+		if rerr != nil {
+			return fmt.Errorf("reduce key %q: %w", g.key, rerr)
 		}
 		if v == nil {
 			v = value.TheNothing
 		}
-		out[i] = KVP{Key: g.key, Val: value.CloneValue(v)}
-		return nil
-	})
-	if err != nil {
-		return nil, err
+		j.out[x] = KVP{Key: g.key, Val: value.CloneValue(v)}
 	}
-	return out, nil
+	return nil
 }
 
-func safeReduce(r Reducer, key string, vals *value.List) (v value.Value, err error) {
-	defer func() {
-		if rec := recover(); rec != nil {
-			err = fmt.Errorf("reducer panic: %v", rec)
-		}
-	}()
-	return r(key, vals)
+// resize returns s with length n, reusing its array when it is big enough.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
 }
 
 // --- stock mappers and reducers ---
@@ -603,30 +519,30 @@ func safeReduce(r Reducer, key string, vals *value.List) (v value.Value, err err
 // Identity maps each item to itself under its display string as key — the
 // identity function §3.4 notes "passes its input argument through
 // unchanged".
-func Identity(item value.Value) ([]KVP, error) {
-	return []KVP{{Key: item.String(), Val: item}}, nil
+func Identity(item value.Value) (string, value.Value, error) {
+	return item.String(), item, nil
 }
 
 // SingleKey maps every item to one shared key (the empty string), putting
 // the whole dataset in one reduction group — how the climate example's
 // single average is expressed.
-func SingleKey(item value.Value) ([]KVP, error) {
-	return []KVP{{Key: "", Val: item}}, nil
+func SingleKey(item value.Value) (string, value.Value, error) {
+	return "", item, nil
 }
 
 // WordCount maps a word to (word, 1) — the canonical example of Figure 11.
-func WordCount(item value.Value) ([]KVP, error) {
-	return []KVP{{Key: item.String(), Val: value.NumInt(1)}}, nil
+func WordCount(item value.Value) (string, value.Value, error) {
+	return item.String(), value.NumInt(1), nil
 }
 
 // FahrenheitToCelsius maps a °F reading to ("", °C) for a global average,
 // the Figure 13 mapper: out->val = ((5 * (in->val - 32)) / 9).
-func FahrenheitToCelsius(item value.Value) ([]KVP, error) {
+func FahrenheitToCelsius(item value.Value) (string, value.Value, error) {
 	f, err := value.ToNumber(item)
 	if err != nil {
-		return nil, err
+		return "", nil, err
 	}
-	return []KVP{{Key: "", Val: (5 * (f - 32)) / 9}}, nil
+	return "", (5 * (f - 32)) / 9, nil
 }
 
 // IdentityReduce reports the group's values unchanged (a single value

@@ -2,6 +2,7 @@ package mapreduce
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -102,12 +103,12 @@ func TestEmptyInput(t *testing.T) {
 
 func TestMapperErrorAndPanic(t *testing.T) {
 	in := value.FromFloats([]float64{1})
-	if _, err := Run(in, func(value.Value) ([]KVP, error) {
-		return nil, errors.New("bad")
+	if _, err := Run(in, func(value.Value) (string, value.Value, error) {
+		return "", nil, errors.New("bad")
 	}, SumReduce, Config{}); err == nil {
 		t.Error("mapper error should propagate")
 	}
-	if _, err := Run(in, func(value.Value) ([]KVP, error) {
+	if _, err := Run(in, func(value.Value) (string, value.Value, error) {
 		panic("boom")
 	}, SumReduce, Config{}); err == nil {
 		t.Error("mapper panic should propagate as error")
@@ -124,27 +125,6 @@ func TestMapperErrorAndPanic(t *testing.T) {
 	}
 	if _, err := Run(value.FromStrings([]string{"x"}), FahrenheitToCelsius, AvgReduce, Config{}); err == nil {
 		t.Error("non-numeric F→C should error")
-	}
-}
-
-func TestMultiEmitMapper(t *testing.T) {
-	// Hadoop-style: one item may emit several pairs (split a line into
-	// words inside the mapper).
-	lines := value.FromStrings([]string{"a b", "b c"})
-	mapper := func(item value.Value) ([]KVP, error) {
-		var out []KVP
-		for _, w := range strings.Fields(item.String()) {
-			out = append(out, KVP{Key: w, Val: value.Number(1)})
-		}
-		return out, nil
-	}
-	res, err := Run(lines, mapper, SumReduce, Config{Workers: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := strings.Join(res.Strings(), ", ")
-	if got != "a: 1, b: 2, c: 1" {
-		t.Errorf("multi-emit = %q", got)
 	}
 }
 
@@ -243,5 +223,32 @@ func TestPropertyWorkerCountInvariance(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestParallelErrorIsLowestFailure pins the reported failure to the lowest
+// failing item (map) or the first failing key in key order (reduce),
+// whatever order the executors finish in.
+func TestParallelErrorIsLowestFailure(t *testing.T) {
+	words := make([]string, 2000)
+	for i := range words {
+		words[i] = fmt.Sprintf("k%04d", i)
+	}
+	in := value.FromStrings(words)
+	failMap := func(item value.Value) (string, value.Value, error) {
+		return "", nil, fmt.Errorf("no mapping for %s", item)
+	}
+	failReduce := func(key string, vals *value.List) (value.Value, error) {
+		return nil, fmt.Errorf("no reduction")
+	}
+	for trial := 0; trial < 100; trial++ {
+		_, err := Run(in, failMap, SumReduce, Config{Workers: 4})
+		if want := "map item 1: no mapping for k0000"; err == nil || err.Error() != want {
+			t.Fatalf("trial %d: map err = %v, want %q", trial, err, want)
+		}
+		_, err = Run(in, WordCount, failReduce, Config{Workers: 4})
+		if want := `reduce key "k0000": no reduction`; err == nil || err.Error() != want {
+			t.Fatalf("trial %d: reduce err = %v, want %q", trial, err, want)
+		}
 	}
 }

@@ -11,17 +11,17 @@ import (
 
 // referenceGroup is the original shuffle — stable sort of all pairs by key,
 // then grouping adjacent runs — kept here as the executable specification
-// the hash-based groupByKey must match.
-func referenceGroup(mid []KVP) []group {
+// the count-sort-scatter shuffle must match.
+func referenceGroup(mid []KVP) []KVP {
 	sorted := make([]KVP, len(mid))
 	copy(sorted, mid)
 	sort.SliceStable(sorted, func(i, j int) bool { return sorted[i].Key < sorted[j].Key })
-	var groups []group
+	var groups []KVP
 	for _, kv := range sorted {
-		if len(groups) == 0 || groups[len(groups)-1].key != kv.Key {
-			groups = append(groups, group{key: kv.Key, vals: value.NewList()})
+		if len(groups) == 0 || groups[len(groups)-1].Key != kv.Key {
+			groups = append(groups, KVP{Key: kv.Key, Val: value.NewList()})
 		}
-		groups[len(groups)-1].vals.Add(kv.Val)
+		groups[len(groups)-1].Val.(*value.List).Add(kv.Val)
 	}
 	return groups
 }
@@ -38,18 +38,25 @@ func TestGroupByKeyMatchesSortedReference(t *testing.T) {
 				Val: value.NumInt(i),
 			}
 		}
-		got := groupByKey(mid)
+		// ReduceSorted with the identity-list reducer reports each group's
+		// values exactly as the shuffle laid them out.
+		got, err := ReduceSorted(mid, func(_ string, vals *value.List) (value.Value, error) {
+			return vals, nil
+		}, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
 		want := referenceGroup(mid)
 		if len(got) != len(want) {
 			t.Fatalf("trial %d: %d groups, want %d", trial, len(got), len(want))
 		}
 		for i := range got {
-			if got[i].key != want[i].key {
-				t.Fatalf("trial %d group %d: key %q, want %q", trial, i, got[i].key, want[i].key)
+			if got[i].Key != want[i].Key {
+				t.Fatalf("trial %d group %d: key %q, want %q", trial, i, got[i].Key, want[i].Key)
 			}
-			if got[i].vals.String() != want[i].vals.String() {
+			if got[i].Val.String() != want[i].Val.String() {
 				t.Fatalf("trial %d key %q: vals %s, want %s — same-key values must stay in map-emission order",
-					trial, got[i].key, got[i].vals, want[i].vals)
+					trial, got[i].Key, got[i].Val, want[i].Val)
 			}
 		}
 	}

@@ -3,12 +3,19 @@ package workers
 import (
 	"testing"
 	"testing/quick"
+
+	"repro/internal/omp"
 )
+
+// The pool's policies are costed in virtual time by running their OpenMP
+// equivalents (Assignment.Schedule) through omp.SimulateMakespan, as E10
+// does. These tests hold each policy's simulated schedule to the policy's
+// own semantics.
 
 func TestVirtualMakespanUniformCosts(t *testing.T) {
 	unit := func(int) int64 { return 1 }
 	for _, policy := range []Assignment{Block, Interleaved, Dynamic} {
-		mk, per := VirtualMakespan(100, 4, policy, unit)
+		mk, per := omp.SimulateMakespan(100, policy.Schedule(4), unit)
 		if mk != 25 {
 			t.Errorf("%v: makespan = %d, want 25", policy, mk)
 		}
@@ -26,9 +33,9 @@ func TestVirtualMakespanSkew(t *testing.T) {
 	// Linear skew: block is unfair (last block is heaviest), dynamic and
 	// interleaved balance.
 	cost := func(i int) int64 { return int64(i + 1) }
-	blockMk, _ := VirtualMakespan(1000, 4, Block, cost)
-	interMk, _ := VirtualMakespan(1000, 4, Interleaved, cost)
-	dynMk, _ := VirtualMakespan(1000, 4, Dynamic, cost)
+	blockMk, _ := omp.SimulateMakespan(1000, Block.Schedule(4), cost)
+	interMk, _ := omp.SimulateMakespan(1000, Interleaved.Schedule(4), cost)
+	dynMk, _ := omp.SimulateMakespan(1000, Dynamic.Schedule(4), cost)
 	total := int64(1000 * 1001 / 2)
 	ideal := total / 4
 	if blockMk <= interMk || blockMk <= dynMk {
@@ -42,17 +49,23 @@ func TestVirtualMakespanSkew(t *testing.T) {
 
 func TestVirtualMakespanEdges(t *testing.T) {
 	cost := func(int) int64 { return 1 }
-	mk, per := VirtualMakespan(0, 4, Dynamic, cost)
-	if mk != 0 || len(per) != 4 {
+	mk, per := omp.SimulateMakespan(0, Dynamic.Schedule(4), cost)
+	var spent int64
+	for _, c := range per {
+		spent += c
+	}
+	if mk != 0 || spent != 0 {
 		t.Errorf("empty: %d %v", mk, per)
 	}
-	mk, per = VirtualMakespan(3, 8, Block, cost)
+	mk, per = omp.SimulateMakespan(3, Block.Schedule(8), cost)
 	if len(per) != 3 || mk != 1 {
 		t.Errorf("workers clamp to n: %d %v", mk, per)
 	}
-	mk, _ = VirtualMakespan(5, 0, Interleaved, cost)
-	if mk != 5 {
-		t.Errorf("w=0 clamps to 1: %d", mk)
+	// Zero workers means the default count, as it does for a pool.
+	mk, _ = omp.SimulateMakespan(5, Interleaved.Schedule(0), cost)
+	want, _ := omp.SimulateMakespan(5, Interleaved.Schedule(omp.DefaultThreads()), cost)
+	if mk != want {
+		t.Errorf("w=0: makespan %d, want the default-thread makespan %d", mk, want)
 	}
 }
 
@@ -68,7 +81,7 @@ func TestPropertyMakespanBounds(t *testing.T) {
 		for i := 0; i < n; i++ {
 			total += cost(i)
 		}
-		mk, per := VirtualMakespan(n, w, policy, cost)
+		mk, per := omp.SimulateMakespan(n, policy.Schedule(w), cost)
 		var sum int64
 		for _, c := range per {
 			sum += c

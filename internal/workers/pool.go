@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"repro/internal/obs"
+	"repro/internal/omp"
 	"repro/internal/value"
 )
 
@@ -40,6 +41,21 @@ func (a Assignment) String() string {
 		return "interleaved"
 	}
 	return fmt.Sprintf("assignment(%d)", int(a))
+}
+
+// Schedule is the OpenMP loop schedule that distributes elements over
+// threads exactly as the policy does over that many workers, so
+// omp.SimulateMakespan can report a policy's virtual cost: Block is static
+// blocks, Interleaved static round-robin one element at a time, Dynamic
+// greedy dispatch one element at a time.
+func (a Assignment) Schedule(threads int) omp.ForConfig {
+	switch a {
+	case Interleaved:
+		return omp.ForConfig{Threads: threads, Schedule: omp.Static, Chunk: 1}
+	case Dynamic:
+		return omp.ForConfig{Threads: threads, Schedule: omp.Dynamic, Chunk: 1}
+	}
+	return omp.ForConfig{Threads: threads, Schedule: omp.Static}
 }
 
 // Options configures a Parallel pool, mirroring Parallel.js's options
