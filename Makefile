@@ -24,9 +24,11 @@ race:
 # program cache with its singleflight front, and the execution service
 # and the shard router with its concurrent failover e2e, plus the
 # evolutionary stress engine itself), shuffled so inter-test ordering
-# dependencies can't hide, then give both differential fuzzers —
-# compiled-vs-interpreted rings and lowered-vs-tree-walked scripts — a
-# short burst, and finish with the deterministic-seed cross-tier stress
+# dependencies can't hide, then give four fuzzers a short burst — the two
+# differential ones (compiled-vs-interpreted rings, lowered-vs-tree-walked
+# scripts) and the two key-equality ones (the raw-bytes envelope scan
+# against json.Decoder, the router's placement key against snapserved's
+# Tier A key) — and finish with the deterministic-seed cross-tier stress
 # soak.
 check:
 	$(GO) vet ./...
@@ -38,6 +40,8 @@ check:
 		./internal/ingest/...
 	$(GO) test -run '^$$' -fuzz FuzzCompileRing -fuzztime 5s ./internal/compile/
 	$(GO) test -run '^$$' -fuzz FuzzLowerProject -fuzztime 5s ./internal/vm/
+	$(GO) test -run '^$$' -fuzz FuzzEnvelopeKey -fuzztime 5s ./internal/progcache/
+	$(GO) test -run '^$$' -fuzz FuzzPlacementKey -fuzztime 5s ./internal/shard/
 	$(MAKE) stress
 
 # stress runs the evolutionary cross-tier differential engine

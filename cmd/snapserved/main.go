@@ -95,7 +95,7 @@ func main() {
 		return
 	}
 
-	httpSrv := &http.Server{Addr: *addr, Handler: srv.Handler()}
+	httpSrv := server.NewHTTPServer(*addr, srv.Handler())
 	go func() {
 		sig := make(chan os.Signal, 1)
 		signal.Notify(sig, os.Interrupt, syscall.SIGTERM)

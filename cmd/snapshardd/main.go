@@ -83,7 +83,7 @@ func main() {
 	}
 	defer rt.Close()
 
-	httpSrv := &http.Server{Addr: *addr, Handler: rt.Handler()}
+	httpSrv := server.NewHTTPServer(*addr, rt.Handler())
 	go func() {
 		sig := make(chan os.Signal, 1)
 		signal.Notify(sig, os.Interrupt, syscall.SIGTERM)

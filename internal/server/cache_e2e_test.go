@@ -125,6 +125,21 @@ func TestCacheSharedAcrossEndpoints(t *testing.T) {
 	}
 }
 
+// TestCacheKeyIgnoresFormatCase: elaborate treats "SBLK" and "sblk" alike,
+// so they share one Tier A entry — the key the shard router places the
+// request on, which has always lowercased the format.
+func TestCacheKeyIgnoresFormatCase(t *testing.T) {
+	srv, ts := newCachingServer(t, Config{})
+	for _, format := range []string{"SBLK", "sblk", "Sblk"} {
+		if resp, body := postJSON(t, ts.URL+"/v1/run", RunRequest{Project: warnSrc, Format: format}); resp.StatusCode != http.StatusOK {
+			t.Fatalf("format %s: %d %s", format, resp.StatusCode, body)
+		}
+	}
+	if st := srv.cache.Stats(); st.Misses != 1 || st.Hits != 2 {
+		t.Fatalf("stats = %+v, want one elaboration for one program in three format spellings", st)
+	}
+}
+
 func TestCacheDisabledByNegativeBudget(t *testing.T) {
 	srv, ts := newCachingServer(t, Config{CacheBytes: -1})
 	for i := 0; i < 2; i++ {

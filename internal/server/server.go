@@ -222,7 +222,9 @@ func elaborate(src, format string) *progcache.ProjectEntry {
 // answered; otherwise the entry's Project and Warnings are live — and
 // shared with other requests, so callers must treat them as read-only.
 func (s *Server) project(w http.ResponseWriter, src, format string) (*progcache.ProjectEntry, bool) {
-	ent, _ := s.cache.Get(src, format, func() *progcache.ProjectEntry {
+	// elaborate ignores the format's case, so the key does too: "SBLK"
+	// and "sblk" share one entry, under the key the shard router places on.
+	ent, _ := s.cache.Get(src, strings.ToLower(format), func() *progcache.ProjectEntry {
 		return elaborate(src, format)
 	})
 	switch {

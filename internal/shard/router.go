@@ -254,20 +254,35 @@ func requestID(r *http.Request) string {
 }
 
 // readBody drains the (capped) request body, answering 413 on overflow.
-// ok is false when the request was already answered.
+// ok is false when the request was already answered. The buffer is sized
+// from Content-Length up front (bounded by MaxBodyBytes), so a ~16 KB
+// envelope is read without regrowing from io.ReadAll's 512 bytes.
 func (rt *Router) readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
 	r.Body = http.MaxBytesReader(w, r.Body, rt.cfg.MaxBodyBytes)
-	body, err := io.ReadAll(r.Body)
-	if err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			writeError(w, http.StatusRequestEntityTooLarge, "request body exceeds %d bytes", tooBig.Limit)
-		} else {
-			writeError(w, http.StatusBadRequest, "read request: %v", err)
-		}
-		return nil, false
+	size := int64(512)
+	if n := r.ContentLength; n > 0 && n <= rt.cfg.MaxBodyBytes {
+		size = n + 1 // the spare byte lets the final read see EOF without growing
 	}
-	return body, true
+	body := make([]byte, 0, size)
+	for {
+		n, err := r.Body.Read(body[len(body):cap(body)])
+		body = body[:len(body)+n]
+		if err == io.EOF {
+			return body, true
+		}
+		if err != nil {
+			var tooBig *http.MaxBytesError
+			if errors.As(err, &tooBig) {
+				writeError(w, http.StatusRequestEntityTooLarge, "request body exceeds %d bytes", tooBig.Limit)
+			} else {
+				writeError(w, http.StatusBadRequest, "read request: %v", err)
+			}
+			return nil, false
+		}
+		if len(body) == cap(body) {
+			body = append(body, 0)[:len(body)]
+		}
+	}
 }
 
 // routeBody is the slice of a run/codegen request the router needs for
@@ -281,12 +296,26 @@ type routeBody struct {
 // placementKey computes the consistent-hash key for a request body: the
 // program-cache Tier A content address of the program source, so a
 // request routes to the shard whose caches already hold that program.
-// Undecodable bodies key on their raw bytes — the malformed resubmission
-// replays its cached 400 on one shard instead of paying a fresh parse
-// failure on a random one.
+// progcache.EnvelopeKey reads it off the raw bytes; the bodies it leaves
+// alone are decoded the way snapserved decodes them (first JSON value,
+// case-insensitive keys). A type error in a member snapserved's run
+// envelope does not have ("script") leaves the program readable, so it
+// still places. Undecodable bodies key on their raw bytes — the malformed
+// resubmission replays its cached 400 on one shard instead of paying a
+// fresh parse failure on a random one.
 func placementKey(body []byte) string {
+	if key, ok := progcache.EnvelopeKey(body); ok {
+		return key
+	}
+	return decodedKey(body)
+}
+
+// decodedKey is placementKey's decoding path.
+func decodedKey(body []byte) string {
 	var rb routeBody
-	if err := json.Unmarshal(body, &rb); err == nil {
+	err := json.NewDecoder(bytes.NewReader(body)).Decode(&rb)
+	var typeErr *json.UnmarshalTypeError
+	if err == nil || errors.As(err, &typeErr) {
 		src := rb.Project
 		if src == "" {
 			src = rb.Script
